@@ -21,14 +21,41 @@ void scale_c(index_t m, index_t n, float beta, float* c, index_t ldc) {
   }
 }
 
+// Materializes Aᵀ (A is [k, m], leading dimension lda) as row-major
+// [m, k] in `pack`, the layout every kernel reads A in.
+void pack_a_transposed(index_t m, index_t k, const float* a, index_t lda,
+                       float* pack) {
+  for (index_t p = 0; p < k; ++p)
+    for (index_t i = 0; i < m; ++i) pack[i * k + p] = a[p * lda + i];
+}
+
 }  // namespace
 
-index_t gemm_scratch_floats(bool trans_a, bool trans_b, index_t m,
+namespace detail {
+
+void pack_panels(bool trans, index_t k, index_t n, const float* src,
+                 index_t ld, float* dst) {
+  constexpr index_t w = kPanelWidth;
+  for (index_t j0 = 0; j0 < n; j0 += w) {
+    const index_t nr = std::min(w, n - j0);
+    float* panel = dst + (j0 / w) * k * w;
+    for (index_t p = 0; p < k; ++p) {
+      float* row = panel + p * w;
+      if (trans) {
+        for (index_t j = 0; j < nr; ++j) row[j] = src[(j0 + j) * ld + p];
+      } else {
+        for (index_t j = 0; j < nr; ++j) row[j] = src[p * ld + j0 + j];
+      }
+      for (index_t j = nr; j < w; ++j) row[j] = 0.0f;
+    }
+  }
+}
+
+}  // namespace detail
+
+index_t gemm_scratch_floats(bool trans_a, bool /*trans_b*/, index_t m,
                             index_t n, index_t k) {
-  index_t floats = 0;
-  if (trans_a) floats += m * k;
-  if (trans_b) floats += k * n;
-  return floats;
+  return (trans_a ? m * k : 0) + detail::panel_floats(k, n);
 }
 
 void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
@@ -36,32 +63,24 @@ void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
           index_t ldb, float beta, float* c, index_t ldc, float* scratch) {
   scale_c(m, n, beta, c, ldc);
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
+  QDNN_CHECK(scratch != nullptr,
+             "gemm: needs caller-provided scratch "
+             "(gemm_scratch_floats(trans_a, trans_b, m, n, k) floats)");
 
-  // For transposed operands, materialize the effective row-major matrix
-  // once into `scratch` and reuse the selected backend's row-major
-  // kernel.  The packs are small relative to the O(mnk) work and keep a
-  // single well-optimized inner kernel per backend.
+  // Per-call packing: Aᵀ into row-major when trans_a, then op(B) into the
+  // tile-panel layout PackedWeights makes at freeze time, so this call
+  // runs the same kernel over the same panel bytes as gemm_prepacked.
   const float* aa = a;
   index_t alda = lda;
   if (trans_a) {
-    float* pack = scratch;
-    scratch += m * k;
-    for (index_t p = 0; p < k; ++p)
-      for (index_t i = 0; i < m; ++i) pack[i * k + p] = a[p * lda + i];
-    aa = pack;
+    pack_a_transposed(m, k, a, lda, scratch);
+    aa = scratch;
     alda = k;
+    scratch += m * k;
   }
-  const float* bb = b;
-  index_t bldb = ldb;
-  if (trans_b) {
-    float* pack = scratch;
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = 0; p < k; ++p) pack[p * n + j] = b[j * ldb + p];
-    bb = pack;
-    bldb = n;
-  }
-  detail::run_gemm(active_gemm_backend(), m, n, k, alpha, aa, alda,
-                   detail::BDesc{bb, bldb, /*panel=*/false}, c, ldc);
+  detail::pack_panels(trans_b, k, n, b, ldb, scratch);
+  detail::run_gemm(active_gemm_backend(), m, n, k, alpha, aa, alda, scratch,
+                   c, ldc);
 }
 
 void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
@@ -89,28 +108,20 @@ void gemm_prepacked(bool trans_a, index_t m, index_t n, index_t k,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
   QDNN_CHECK(!trans_a || scratch != nullptr,
              "gemm_prepacked: trans_a needs caller-provided scratch "
-             "(gemm_scratch_floats(true, false, m, n, k) floats)");
+             "(m * k floats)");
 
   const float* aa = a;
   index_t alda = lda;
   if (trans_a) {
-    // Same per-call A pack as gemm(); only the constant B side moved to
-    // freeze time.
-    float* pack = scratch;
-    for (index_t p = 0; p < k; ++p)
-      for (index_t i = 0; i < m; ++i) pack[i * k + p] = a[p * lda + i];
-    aa = pack;
+    pack_a_transposed(m, k, a, lda, scratch);
+    aa = scratch;
     alda = k;
   }
-  // Dispatch on the backend that laid the pack out, not the globally
-  // active one: the pack bytes and the kernel that streams them are one
-  // unit (a backend switched after freeze still consumes old packs
-  // correctly; re-freeze migrates them).
-  detail::run_gemm(
-      b.backend(), m, n, k, alpha, aa, alda,
-      detail::BDesc{b.data(), n,
-                    /*panel=*/b.layout() == PackLayout::kTilePanel},
-      c, ldc);
+  // Dispatch on the backend that made the pack, not the globally active
+  // one: a pack keeps producing the bits of the backend it was frozen
+  // under even if the active backend is switched afterwards (re-freeze
+  // migrates it).
+  detail::run_gemm(b.backend(), m, n, k, alpha, aa, alda, b.data(), c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

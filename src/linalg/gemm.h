@@ -1,7 +1,10 @@
 // Dense matrix kernels.  These are the hot paths of the library: conv
 // layers (via im2col), attention, and every quadratic-neuron variant reduce
-// to calls here.  Implementation is a cache-blocked ikj kernel with
-// optional transposes — no BLAS dependency, deterministic results.
+// to calls here.  Every gemm runs one register-tiled microkernel per
+// backend (gemm_backend.h) over op(B) in a 16-column tile-panel layout:
+// PackedWeights lays the panels out once at freeze time, gemm() lays them
+// out per call in caller scratch.  No BLAS dependency, deterministic
+// results.
 #pragma once
 
 #include "core/tensor.h"
@@ -14,15 +17,17 @@ void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
           float alpha, const float* a, index_t lda, const float* b,
           index_t ldb, float beta, float* c, index_t ldc);
 
-// Scratch floats gemm needs to pack transposed operands for these flags
-// and sizes (0 when neither operand is transposed).
+// Scratch floats gemm needs for these flags and sizes: op(B) packed into
+// tile panels (k × n rounded up to whole 16-column panels, for either
+// trans_b), plus m × k for the Aᵀ pack when trans_a.
 index_t gemm_scratch_floats(bool trans_a, bool trans_b, index_t m,
                             index_t n, index_t k);
 
 // As gemm, but packing uses the caller-provided `scratch` buffer (at
 // least gemm_scratch_floats(...) floats) instead of allocating — the
 // allocation-free path used by Module::forward_into implementations,
-// which draw scratch from a Workspace.  Bit-identical to gemm().
+// which draw scratch from a Workspace.  Bit-identical to gemm() and to
+// gemm_prepacked on a pack of the same op(B).
 void gemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
           float alpha, const float* a, index_t lda, const float* b,
           index_t ldb, float beta, float* c, index_t ldc, float* scratch);

@@ -6,12 +6,12 @@
 // whether these kernels may run.
 //
 // Tile shape: 6 rows of A x one 16-column B panel, accumulated in 12
-// ymm registers.  Per k step: 2 B loads (or masked loads on the ragged
-// tail panel), 6 A broadcasts, 12 FMAs — FMA-throughput-bound on any
-// AVX2 core.  Ragged m runs 1..5-row variants of the same tile; every
-// variant issues the identical per-row FMA sequence over p, which is
-// what keeps results independent of batch position and of row sharding
-// (the bit-identity contracts upstream rely on exactly this).
+// ymm registers.  Per k step: 2 B loads from the tile-panel pack, 6 A
+// broadcasts, 12 FMAs — FMA-throughput-bound on any AVX2 core.  Ragged
+// m runs 1..5-row variants of the same tile; every variant issues the
+// identical per-row FMA sequence over p, which is what keeps results
+// independent of batch position and of row sharding (the bit-identity
+// contracts upstream rely on exactly this).
 #include "linalg/gemm_kernels.h"
 
 #if defined(QDNN_SIMD_AVX2)
@@ -32,29 +32,22 @@ inline __m256i prefix_mask(index_t lanes) {
 }
 
 // One MR x 16 tile: C[0..MR) rows x columns [0, nr) of the panel at
-// (bbase, bstride).  TAIL masks the B loads and C stores to nr valid
-// columns; masked B lanes read as 0.0f, so the FMA stream over the tail
-// panel is lane-for-lane identical to a zero-padded tile-panel pack.
+// `panel` (k rows of 16 floats).  The tail panel is zero-padded, so B
+// loads are never masked; TAIL masks only the C loads/stores to the nr
+// valid columns.
 template <int MR, bool TAIL>
-inline void tile(const float* a, index_t lda, const float* bbase,
-                 index_t bstride, index_t k, float alpha, float* c,
-                 index_t ldc, index_t nr) {
+inline void tile(const float* a, index_t lda, const float* panel,
+                 index_t k, float alpha, float* c, index_t ldc,
+                 index_t nr) {
   __m256 acc[MR][2];
   for (int i = 0; i < MR; ++i) {
     acc[i][0] = _mm256_setzero_ps();
     acc[i][1] = _mm256_setzero_ps();
   }
-  __m256i m0, m1;
-  if (TAIL) {
-    m0 = prefix_mask(nr < 8 ? nr : 8);
-    m1 = prefix_mask(nr > 8 ? nr - 8 : 0);
-  }
   for (index_t p = 0; p < k; ++p) {
-    const float* bp = bbase + p * bstride;
-    const __m256 b0 =
-        TAIL ? _mm256_maskload_ps(bp, m0) : _mm256_loadu_ps(bp);
-    const __m256 b1 =
-        TAIL ? _mm256_maskload_ps(bp + 8, m1) : _mm256_loadu_ps(bp + 8);
+    const float* bp = panel + p * kPanelWidth;
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + 8);
     for (int i = 0; i < MR; ++i) {
       const __m256 av = _mm256_broadcast_ss(a + i * lda + p);
       acc[i][0] = _mm256_fmadd_ps(av, b0, acc[i][0]);
@@ -62,37 +55,40 @@ inline void tile(const float* a, index_t lda, const float* bbase,
     }
   }
   const __m256 va = _mm256_set1_ps(alpha);
-  for (int i = 0; i < MR; ++i) {
-    float* cp = c + i * ldc;
-    if (!TAIL) {
+  if (!TAIL) {
+    for (int i = 0; i < MR; ++i) {
+      float* cp = c + i * ldc;
       _mm256_storeu_ps(
           cp, _mm256_fmadd_ps(va, acc[i][0], _mm256_loadu_ps(cp)));
       _mm256_storeu_ps(
           cp + 8, _mm256_fmadd_ps(va, acc[i][1], _mm256_loadu_ps(cp + 8)));
-    } else {
-      _mm256_maskstore_ps(
-          cp, m0,
-          _mm256_fmadd_ps(va, acc[i][0], _mm256_maskload_ps(cp, m0)));
-      if (nr > 8)
-        _mm256_maskstore_ps(
-            cp + 8, m1,
-            _mm256_fmadd_ps(va, acc[i][1],
-                            _mm256_maskload_ps(cp + 8, m1)));
     }
+    return;
+  }
+  const __m256i m0 = prefix_mask(nr < 8 ? nr : 8);
+  const __m256i m1 = prefix_mask(nr > 8 ? nr - 8 : 0);
+  for (int i = 0; i < MR; ++i) {
+    float* cp = c + i * ldc;
+    _mm256_maskstore_ps(
+        cp, m0, _mm256_fmadd_ps(va, acc[i][0], _mm256_maskload_ps(cp, m0)));
+    if (nr > 8)
+      _mm256_maskstore_ps(
+          cp + 8, m1,
+          _mm256_fmadd_ps(va, acc[i][1], _mm256_maskload_ps(cp + 8, m1)));
   }
 }
 
 template <bool TAIL>
 inline void tile_rows(int mr, const float* a, index_t lda,
-                      const float* bbase, index_t bstride, index_t k,
-                      float alpha, float* c, index_t ldc, index_t nr) {
+                      const float* panel, index_t k, float alpha, float* c,
+                      index_t ldc, index_t nr) {
   switch (mr) {
-    case 6: tile<6, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 5: tile<5, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 4: tile<4, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 3: tile<3, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 2: tile<2, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 1: tile<1, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
+    case 6: tile<6, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 5: tile<5, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 4: tile<4, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 3: tile<3, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 2: tile<2, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 1: tile<1, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
     default: break;
   }
 }
@@ -100,34 +96,20 @@ inline void tile_rows(int mr, const float* a, index_t lda,
 }  // namespace
 
 void gemm_kernel_avx2(index_t m, index_t n, index_t k, float alpha,
-                      const float* a, index_t lda, const BDesc& b,
+                      const float* a, index_t lda, const float* b,
                       float* c, index_t ldc) {
   constexpr int kMr = 6;
   for (index_t j0 = 0; j0 < n; j0 += kPanelWidth) {
     const index_t nr = std::min(kPanelWidth, n - j0);
-    const bool tail = nr < kPanelWidth;
-    // Both B layouts collapse to (base, stride) per panel: row-major
-    // strides by ld, a tile-panel pack strides by the panel width.
-    const float* bbase =
-        b.panel ? b.data + (j0 / kPanelWidth) * k * kPanelWidth
-                : b.data + j0;
-    const index_t bstride = b.panel ? kPanelWidth : b.ld;
-    index_t i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      if (tail)
-        tile<6, true>(a + i * lda, lda, bbase, bstride, k, alpha,
-                      c + i * ldc + j0, ldc, nr);
-      else
-        tile<6, false>(a + i * lda, lda, bbase, bstride, k, alpha,
-                       c + i * ldc + j0, ldc, nr);
-    }
-    if (i < m) {
-      const int mr = static_cast<int>(m - i);
-      if (tail)
-        tile_rows<true>(mr, a + i * lda, lda, bbase, bstride, k, alpha,
+    const float* panel = b + (j0 / kPanelWidth) * k * kPanelWidth;
+    // Every row count runs the same per-row FMA sequence over p.
+    for (index_t i = 0; i < m; i += kMr) {
+      const int mr = static_cast<int>(std::min<index_t>(kMr, m - i));
+      if (nr < kPanelWidth)
+        tile_rows<true>(mr, a + i * lda, lda, panel, k, alpha,
                         c + i * ldc + j0, ldc, nr);
       else
-        tile_rows<false>(mr, a + i * lda, lda, bbase, bstride, k, alpha,
+        tile_rows<false>(mr, a + i * lda, lda, panel, k, alpha,
                          c + i * ldc + j0, ldc, nr);
     }
   }

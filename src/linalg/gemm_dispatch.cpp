@@ -91,7 +91,7 @@ GemmBackend resolve_default() {
 // rejects it); the generic fallback here is belt-and-braces.
 void run_kernel(GemmBackend backend, index_t m, index_t n, index_t k,
                 float alpha, const float* a, index_t lda,
-                const detail::BDesc& b, float* c, index_t ldc) {
+                const float* b, float* c, index_t ldc) {
   switch (backend) {
 #if defined(QDNN_SIMD_AVX2)
     case GemmBackend::kAvx2:
@@ -119,7 +119,7 @@ struct GemmJob {
   float alpha;
   const float* a;
   index_t lda;
-  detail::BDesc b;
+  const float* b;
   float* c;
   index_t ldc;
 };
@@ -342,7 +342,7 @@ namespace detail {
 void note_heap_pack_call() { g_heap_pack_calls.inc(); }
 
 void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
-              float alpha, const float* a, index_t lda, const BDesc& b,
+              float alpha, const float* a, index_t lda, const float* b,
               float* c, index_t ldc) {
   const int threads = g_threads.load(std::memory_order_relaxed);
   if (threads > 1 && t_serial_depth == 0 && m >= 2 &&

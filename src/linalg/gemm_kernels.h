@@ -1,16 +1,15 @@
 // Internal kernel interface behind the backend seam (gemm_backend.h).
-// gemm.cpp's entry points normalize operands (beta scaling, transpose
-// packing, PackedWeights layout) into one accumulate-only call:
+// gemm.cpp's entry points normalize operands (beta scaling, the trans_a
+// pack, the op(B) panel pack) into one accumulate-only call:
 //
 //   C(m,n) += alpha * A(m,k,lda) * B
 //
-// where B is either a plain row-major [k,n] block or a tile-panel pack
-// (PackLayout::kTilePanel): ceil(n/16) panels, each k x 16 floats with
-// the tail panel zero-padded, so a panel row is one contiguous
-// 16-float B slice for the microkernel.  Both layouts collapse to a
-// (base, stride) pair per column panel, which is how every kernel
-// addresses B — the FMA sequence, and therefore the result bits, are
-// identical between the two layouts within a backend.
+// where B is always a tile-panel pack: ceil(n/16) panels, each k x 16
+// floats with the tail panel zero-padded, so a panel row is one
+// contiguous 16-float B slice for the microkernel.  PackedWeights lays
+// the panels out once at freeze time; gemm() lays them out per call in
+// caller scratch.  Both run the same kernel over the same panel bytes,
+// so prepacked and unpacked results are bit-identical within a backend.
 #pragma once
 
 #include "core/tensor.h"
@@ -19,22 +18,26 @@
 namespace qdnn::linalg::detail {
 
 // Panel width of the tile-panel pack layout, shared by the AVX2 (6x16)
-// and NEON (4x16) microkernels.
+// and NEON (4x16) microkernels and the generic panel loop.
 inline constexpr index_t kPanelWidth = 16;
 
-// B operand descriptor.  panel == false: row-major [k,n] with leading
-// dimension ld.  panel == true: tile-panel layout (ld ignored).
-struct BDesc {
-  const float* data = nullptr;
-  index_t ld = 0;
-  bool panel = false;
-};
+// Floats a tile-panel pack of a [k, n] operand occupies (tail padded).
+inline index_t panel_floats(index_t k, index_t n) {
+  return (n + kPanelWidth - 1) / kPanelWidth * kPanelWidth * k;
+}
 
-// Reference blocked scalar kernel (the seed gemm_nn loop, minus the
-// data-dependent av == 0 branch that blocked vectorization — the
-// alpha == 0 short-circuit lives at the gemm() entry points).
+// Writes op(src) into `dst` (panel_floats(k, n) floats) in tile-panel
+// layout: element (p, j) lands at dst[(j/16)*k*16 + p*16 + j%16], and
+// the tail panel's padding lanes are zeroed.
+//   trans == false: src is [k, n] with leading dimension ld (>= n);
+//   trans == true:  src is [n, k] with leading dimension ld (>= k).
+void pack_panels(bool trans, index_t k, index_t n, const float* src,
+                 index_t ld, float* dst);
+
+// Generic scalar panel loop: per (i, j), C accumulates alpha·a(i,p)·b(p,j)
+// for ascending p, exactly the seed's blocked ikj arithmetic.
 void gemm_kernel_generic(index_t m, index_t n, index_t k, float alpha,
-                         const float* a, index_t lda, const BDesc& b,
+                         const float* a, index_t lda, const float* b,
                          float* c, index_t ldc);
 
 float dot_generic(const float* a, const float* b, index_t n);
@@ -42,11 +45,11 @@ void axpy_generic(index_t n, float alpha, const float* x, float* y);
 
 #if defined(QDNN_SIMD_AVX2)
 // 6x16 register-tiled AVX2/FMA microkernel: per k step, one broadcast
-// per A row and two 8-lane FMAs per row against a streamed 16-column B
-// panel; ragged m via 1..5-row tile variants, ragged n via masked
-// loads/stores over the tail panel.
+// per A row and two 8-lane FMAs per row against a 16-column B panel;
+// ragged m via 1..5-row tile variants, ragged n via masked C
+// loads/stores over the zero-padded tail panel.
 void gemm_kernel_avx2(index_t m, index_t n, index_t k, float alpha,
-                      const float* a, index_t lda, const BDesc& b,
+                      const float* a, index_t lda, const float* b,
                       float* c, index_t ldc);
 float dot_avx2(const float* a, const float* b, index_t n);
 void axpy_avx2(index_t n, float alpha, const float* x, float* y);
@@ -56,7 +59,7 @@ void axpy_avx2(index_t n, float alpha, const float* x, float* y);
 // 4x16 register-tiled NEON kernel: per k step, one lane broadcast per A
 // row and four 4-lane FMAs per row against the 16-column B panel.
 void gemm_kernel_neon(index_t m, index_t n, index_t k, float alpha,
-                      const float* a, index_t lda, const BDesc& b,
+                      const float* a, index_t lda, const float* b,
                       float* c, index_t ldc);
 float dot_neon(const float* a, const float* b, index_t n);
 void axpy_neon(index_t n, float alpha, const float* x, float* y);
@@ -64,11 +67,11 @@ void axpy_neon(index_t n, float alpha, const float* x, float* y);
 
 // Dispatch used by gemm.cpp: runs `backend`'s kernel over C's rows,
 // sharding [0,m) across the persistent pool when the threaded path is
-// enabled and 2*m*n*k clears the min-work threshold.  Expects the
-// degenerate cases (m/n/k == 0, alpha == 0) to be filtered by the
-// caller.
+// enabled and 2*m*n*k clears the min-work threshold.  `b` is a
+// tile-panel pack of the [k, n] operand.  Expects the degenerate cases
+// (m/n/k == 0, alpha == 0) to be filtered by the caller.
 void run_gemm(GemmBackend backend, index_t m, index_t n, index_t k,
-              float alpha, const float* a, index_t lda, const BDesc& b,
+              float alpha, const float* a, index_t lda, const float* b,
               float* c, index_t ldc);
 
 // gemm.cpp-internal counter hook for the allocating convenience

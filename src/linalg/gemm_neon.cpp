@@ -1,10 +1,10 @@
 // NEON backend (aarch64): 4x16 register-tiled microkernel — the ARM
 // twin of gemm_avx2.cpp.  Per k step: four 4-lane B loads across the
 // 16-column panel, one broadcast per A row, 16 FMAs into a 4x4 block
-// of q-register accumulators.  Ragged n has no masked loads on NEON;
-// tail lanes are assembled into a zero-padded stack vector instead,
-// which keeps the FMA stream lane-identical to a zero-padded
-// tile-panel pack (the prepacked-vs-unpacked bit-identity contract).
+// of q-register accumulators.  B always arrives as a zero-padded
+// tile-panel pack, so B loads are plain; ragged n only narrows the C
+// loads/stores, through a zero-padded stack vector (NEON has no masked
+// loads).
 #include "linalg/gemm_kernels.h"
 
 #if defined(QDNN_SIMD_NEON)
@@ -36,27 +36,19 @@ inline void store_valid(float* p, float32x4_t v, index_t valid) {
   for (index_t j = 0; j < valid; ++j) p[j] = tmp[j];
 }
 
-// One MR x 16 tile over columns [0, nr) of the panel at (bbase,
-// bstride).  TAIL pads B tail lanes with zeros and stores only valid C
-// lanes.
+// One MR x 16 tile over columns [0, nr) of the panel at `panel` (k rows
+// of 16 floats).  TAIL loads and stores only the valid C lanes.
 template <int MR, bool TAIL>
-inline void tile(const float* a, index_t lda, const float* bbase,
-                 index_t bstride, index_t k, float alpha, float* c,
-                 index_t ldc, index_t nr) {
+inline void tile(const float* a, index_t lda, const float* panel,
+                 index_t k, float alpha, float* c, index_t ldc,
+                 index_t nr) {
   float32x4_t acc[MR][4];
   for (int i = 0; i < MR; ++i)
     for (int q = 0; q < 4; ++q) acc[i][q] = vdupq_n_f32(0.0f);
-  index_t valid[4];
-  for (int q = 0; q < 4; ++q) {
-    const index_t v = nr - q * kVec;
-    valid[q] = v < 0 ? 0 : (v > kVec ? kVec : v);
-  }
   for (index_t p = 0; p < k; ++p) {
-    const float* bp = bbase + p * bstride;
+    const float* bp = panel + p * kPanelWidth;
     float32x4_t b[4];
-    for (int q = 0; q < 4; ++q)
-      b[q] = TAIL ? load_padded(bp + q * kVec, valid[q])
-                  : vld1q_f32(bp + q * kVec);
+    for (int q = 0; q < 4; ++q) b[q] = vld1q_f32(bp + q * kVec);
     for (int i = 0; i < MR; ++i) {
       const float32x4_t av = vdupq_n_f32(a[i * lda + p]);
       for (int q = 0; q < 4; ++q)
@@ -70,10 +62,13 @@ inline void tile(const float* a, index_t lda, const float* bbase,
       if (!TAIL) {
         vst1q_f32(cp + q * kVec,
                   vfmaq_f32(vld1q_f32(cp + q * kVec), va, acc[i][q]));
-      } else if (valid[q] > 0) {
-        const float32x4_t cv = load_padded(cp + q * kVec, valid[q]);
-        store_valid(cp + q * kVec, vfmaq_f32(cv, va, acc[i][q]),
-                    valid[q]);
+        continue;
+      }
+      const index_t v = nr - q * kVec;
+      const index_t valid = v < 0 ? 0 : (v > kVec ? kVec : v);
+      if (valid > 0) {
+        const float32x4_t cv = load_padded(cp + q * kVec, valid);
+        store_valid(cp + q * kVec, vfmaq_f32(cv, va, acc[i][q]), valid);
       }
     }
   }
@@ -81,13 +76,13 @@ inline void tile(const float* a, index_t lda, const float* bbase,
 
 template <bool TAIL>
 inline void tile_rows(int mr, const float* a, index_t lda,
-                      const float* bbase, index_t bstride, index_t k,
-                      float alpha, float* c, index_t ldc, index_t nr) {
+                      const float* panel, index_t k, float alpha, float* c,
+                      index_t ldc, index_t nr) {
   switch (mr) {
-    case 4: tile<4, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 3: tile<3, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 2: tile<2, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
-    case 1: tile<1, TAIL>(a, lda, bbase, bstride, k, alpha, c, ldc, nr); break;
+    case 4: tile<4, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 3: tile<3, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 2: tile<2, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
+    case 1: tile<1, TAIL>(a, lda, panel, k, alpha, c, ldc, nr); break;
     default: break;
   }
 }
@@ -95,32 +90,19 @@ inline void tile_rows(int mr, const float* a, index_t lda,
 }  // namespace
 
 void gemm_kernel_neon(index_t m, index_t n, index_t k, float alpha,
-                      const float* a, index_t lda, const BDesc& b,
+                      const float* a, index_t lda, const float* b,
                       float* c, index_t ldc) {
   constexpr int kMr = 4;
   for (index_t j0 = 0; j0 < n; j0 += kPanelWidth) {
     const index_t nr = std::min(kPanelWidth, n - j0);
-    const bool tail = nr < kPanelWidth;
-    const float* bbase =
-        b.panel ? b.data + (j0 / kPanelWidth) * k * kPanelWidth
-                : b.data + j0;
-    const index_t bstride = b.panel ? kPanelWidth : b.ld;
-    index_t i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      if (tail)
-        tile<4, true>(a + i * lda, lda, bbase, bstride, k, alpha,
-                      c + i * ldc + j0, ldc, nr);
-      else
-        tile<4, false>(a + i * lda, lda, bbase, bstride, k, alpha,
-                       c + i * ldc + j0, ldc, nr);
-    }
-    if (i < m) {
-      const int mr = static_cast<int>(m - i);
-      if (tail)
-        tile_rows<true>(mr, a + i * lda, lda, bbase, bstride, k, alpha,
+    const float* panel = b + (j0 / kPanelWidth) * k * kPanelWidth;
+    for (index_t i = 0; i < m; i += kMr) {
+      const int mr = static_cast<int>(std::min<index_t>(kMr, m - i));
+      if (nr < kPanelWidth)
+        tile_rows<true>(mr, a + i * lda, lda, panel, k, alpha,
                         c + i * ldc + j0, ldc, nr);
       else
-        tile_rows<false>(mr, a + i * lda, lda, bbase, bstride, k, alpha,
+        tile_rows<false>(mr, a + i * lda, lda, panel, k, alpha,
                          c + i * ldc + j0, ldc, nr);
     }
   }

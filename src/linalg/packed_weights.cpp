@@ -1,5 +1,6 @@
 #include "linalg/packed_weights.h"
 
+#include "linalg/gemm.h"
 #include "linalg/gemm_kernels.h"
 
 namespace qdnn::linalg {
@@ -13,40 +14,8 @@ void PackedWeights::pack(bool trans, index_t k, index_t n, const float* src,
   k_ = k;
   n_ = n;
   backend_ = active_gemm_backend();
-  layout_ = backend_ == GemmBackend::kGeneric ? PackLayout::kRowMajor
-                                              : PackLayout::kTilePanel;
-  if (layout_ == PackLayout::kRowMajor) {
-    data_.resize(static_cast<std::size_t>(k * n));
-    if (trans) {
-      // Same element order as gemm()'s per-call trans_b pack, so
-      // prepacked results are bit-identical to the packing path they
-      // replace.
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = 0; p < k; ++p)
-          data_[static_cast<std::size_t>(p * n + j)] = src[j * ld + p];
-    } else {
-      for (index_t p = 0; p < k; ++p)
-        for (index_t j = 0; j < n; ++j)
-          data_[static_cast<std::size_t>(p * n + j)] = src[p * ld + j];
-    }
-  } else {
-    // Tile-panel: panels of kPanelWidth columns, each k rows deep, the
-    // tail panel zero-padded — one contiguous 16-float slice per
-    // microkernel k-step.  Padding lanes mirror the masked (zero) B
-    // lanes of the unpacked SIMD path, so both paths run the identical
-    // FMA stream.
-    const index_t w = detail::kPanelWidth;
-    const index_t panels = (n + w - 1) / w;
-    data_.assign(static_cast<std::size_t>(panels * k * w), 0.0f);
-    for (index_t jp = 0; jp < panels; ++jp) {
-      float* panel = data_.data() + jp * k * w;
-      const index_t nr = std::min(w, n - jp * w);
-      for (index_t p = 0; p < k; ++p)
-        for (index_t j = 0; j < nr; ++j)
-          panel[p * w + j] = trans ? src[(jp * w + j) * ld + p]
-                                   : src[p * ld + jp * w + j];
-    }
-  }
+  data_.resize(static_cast<std::size_t>(detail::panel_floats(k, n)));
+  detail::pack_panels(trans, k, n, src, ld, data_.data());
   packed_ = true;
 }
 
@@ -54,10 +23,20 @@ void PackedWeights::clear() {
   k_ = 0;
   n_ = 0;
   packed_ = false;
-  layout_ = PackLayout::kRowMajor;
   backend_ = GemmBackend::kGeneric;
   data_.clear();
   data_.shrink_to_fit();
+}
+
+void gemm_weights(index_t m, index_t n, index_t k, const float* x,
+                  const float* w, const PackedWeights& packed, float* y,
+                  Workspace& ws) {
+  if (packed.packed()) {
+    gemm_prepacked(false, m, n, k, 1.0f, x, k, packed, 0.0f, y, n);
+  } else {
+    gemm(false, true, m, n, k, 1.0f, x, k, w, k, 0.0f, y, n,
+         ws.alloc(gemm_scratch_floats(false, true, m, n, k)));
+  }
 }
 
 }  // namespace qdnn::linalg

@@ -351,8 +351,30 @@ void DecoderLayer::set_training(bool training) {
 // Transformer
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Up-front width rules, named by config field, so a bad config fails
+// before any layer is built instead of deep inside one.  The attention
+// projections apply `spec` to outputs of width proj_dim (wq/wk/wv) and
+// d_model (wo); a proposed neuron emits rank+1 values, so both widths
+// must be multiples of it.
+const TransformerConfig& validated(const TransformerConfig& config) {
+  const index_t per = config.spec.outputs_per_neuron();
+  auto check_width = [per](const char* field, index_t width) {
+    QDNN_CHECK(width % per == 0,
+               "TransformerConfig." << field << " " << width
+                                    << " is not a multiple of spec.rank+1 = "
+                                    << per);
+  };
+  check_width("proj_dim", config.proj_dim);
+  check_width("d_model", config.d_model);
+  return config;
+}
+
+}  // namespace
+
 Transformer::Transformer(const TransformerConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       rng_(config.seed),
       pos_(config.max_len, config.d_model) {
   src_embed_ = std::make_unique<nn::Embedding>(config.src_vocab,

@@ -8,9 +8,18 @@ namespace qdnn::nn {
 
 namespace {
 
+// Scratch floats conv_sample_forward needs: the im2col block followed by
+// the gemm's panel pack of it.
+index_t conv_scratch_floats(const ConvGeometry& g, index_t out_channels,
+                            index_t n_cols) {
+  const index_t patch = g.patch_size();
+  return patch * n_cols + linalg::gemm_scratch_floats(
+                              false, false, out_channels, n_cols, patch);
+}
+
 // Per-sample im2col + GEMM + bias body shared by forward() and
 // forward_into() — one definition so training and serving cannot drift.
-// `cols` is caller-provided scratch of patch_size() * n_cols floats.
+// `cols` is caller-provided scratch of conv_scratch_floats() floats.
 void conv_sample_forward(const float* image, index_t h, index_t w,
                          const ConvGeometry& g, const float* weight,
                          const float* bias, index_t out_channels,
@@ -18,7 +27,8 @@ void conv_sample_forward(const float* image, index_t h, index_t w,
   const index_t patch = g.patch_size();
   im2col(image, h, w, g, cols);
   linalg::gemm(false, false, out_channels, n_cols, patch, 1.0f, weight,
-               patch, cols, n_cols, 0.0f, out_s, n_cols, nullptr);
+               patch, cols, n_cols, 0.0f, out_s, n_cols,
+               cols + patch * n_cols);
   if (bias) {
     for (index_t oc = 0; oc < out_channels; ++oc) {
       const float b = bias[oc];
@@ -52,11 +62,11 @@ Tensor Conv2d::forward(const Tensor& input) {
   cached_input_ = input;
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
-  const index_t patch = geometry_.patch_size();
   const index_t n_cols = oh * ow;
 
   Tensor out{Shape{n, out_channels_, oh, ow}};
-  std::vector<float> cols(static_cast<std::size_t>(patch * n_cols));
+  std::vector<float> cols(static_cast<std::size_t>(
+      conv_scratch_floats(geometry_, out_channels_, n_cols)));
   for (index_t s = 0; s < n; ++s)
     conv_sample_forward(input.data() + s * geometry_.in_channels * h * w, h,
                         w, geometry_, weight_.value.data(),
@@ -80,14 +90,14 @@ void Conv2d::forward_into(const ConstTensorView& input, const TensorView& output
   QDNN_CHECK_EQ(input.dim(1), geometry_.in_channels, name_ << ": channels");
   const index_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const index_t oh = geometry_.out_extent(h), ow = geometry_.out_extent(w);
-  const index_t patch = geometry_.patch_size();
   const index_t n_cols = oh * ow;
   QDNN_CHECK(output.rank() == 4 && output.dim(0) == n &&
                  output.dim(1) == out_channels_ && output.dim(2) == oh &&
                  output.dim(3) == ow,
              name_ << ": bad output view " << output.shape());
 
-  float* cols = ws.alloc(patch * n_cols);
+  float* cols =
+      ws.alloc(conv_scratch_floats(geometry_, out_channels_, n_cols));
   for (index_t s = 0; s < n; ++s)
     conv_sample_forward(input.data() + s * geometry_.in_channels * h * w, h,
                         w, geometry_, weight_.value.data(),

@@ -57,17 +57,8 @@ void Linear::forward_into(const ConstTensorView& input, const TensorView& output
   const index_t n = input.numel() / in_features_;
   QDNN_CHECK(output.shape() == output_shape(input.shape()),
              name_ << ": bad output view " << output.shape());
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, out_features_, in_features_, 1.0f,
-                           input.data(), in_features_, packed_w_, 0.0f,
-                           output.data(), out_features_);
-  } else {
-    float* scratch = ws.alloc(linalg::gemm_scratch_floats(
-        false, true, n, out_features_, in_features_));
-    linalg::gemm(false, true, n, out_features_, in_features_, 1.0f,
-                 input.data(), in_features_, weight_.value.data(),
-                 in_features_, 0.0f, output.data(), out_features_, scratch);
-  }
+  linalg::gemm_weights(n, out_features_, in_features_, input.data(),
+                       weight_.value.data(), packed_w_, output.data(), ws);
   if (has_bias_) {
     for (index_t i = 0; i < n; ++i)
       linalg::axpy(out_features_, 1.0f, bias_.value.data(),

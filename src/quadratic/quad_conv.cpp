@@ -132,14 +132,17 @@ void ProposedQuadConv2d::forward_into(const ConstTensorView& input,
   float* cols = ws.alloc(patch * n_cols);
   float* lin = ws.alloc(filters_ * n_cols);
   float* f_s = ws.alloc(fr * n_cols);
+  // Both gemms share B = cols, so they share one pack buffer.
+  float* pack = ws.alloc(
+      linalg::gemm_scratch_floats(false, false, fr, n_cols, patch));
   for (index_t s = 0; s < n; ++s) {
     nn::im2col(input.data() + s * geometry_.in_channels * h * w, h, w,
                geometry_, cols);
     linalg::gemm(false, false, filters_, n_cols, patch, 1.0f,
                  w_.value.data(), patch, cols, n_cols, 0.0f, lin, n_cols,
-                 nullptr);
+                 pack);
     linalg::gemm(false, false, fr, n_cols, patch, 1.0f, q_.value.data(),
-                 patch, cols, n_cols, 0.0f, f_s, n_cols, nullptr);
+                 patch, cols, n_cols, 0.0f, f_s, n_cols, pack);
 
     assemble_proposed_conv_sample(
         lin, f_s, lambda_.value.data(), b_.value.data(), filters_, rank_,

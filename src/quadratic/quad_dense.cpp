@@ -118,21 +118,10 @@ void ProposedQuadraticDense::forward_into(const ConstTensorView& input,
   // tensors.
   float* lin = ws.alloc(n * units_);
   float* f = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, lin, units_);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q_, 0.0f, f, uk);
-  } else {
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, lin, units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q_.value.data(), in_, 0.0f, f, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-  }
+  linalg::gemm_weights(n, units_, in_, input.data(), w_.value.data(),
+                       packed_w_, lin, ws);
+  linalg::gemm_weights(n, uk, in_, input.data(), q_.value.data(), packed_q_,
+                       f, ws);
 
   assemble_proposed_dense(lin, f, lambda_.value.data(), b_.value.data(), n,
                           units_, rank_, emit_features_, output.data());
@@ -397,27 +386,12 @@ void LowRankQuadraticDense::forward_into(const ConstTensorView& input,
 
   float* a = ws.alloc(n * uk);
   float* c = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q1_, 0.0f, a, uk);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q2_, 0.0f, c, uk);
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, output.data(), units_);
-  } else {
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q1_.value.data(), in_, 0.0f, a, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-    linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q2_.value.data(), in_, 0.0f, c, uk,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
-                                                      in_)));
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, output.data(), units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-  }
+  linalg::gemm_weights(n, uk, in_, input.data(), q1_.value.data(),
+                       packed_q1_, a, ws);
+  linalg::gemm_weights(n, uk, in_, input.data(), q2_.value.data(),
+                       packed_q2_, c, ws);
+  linalg::gemm_weights(n, units_, in_, input.data(), w_.value.data(),
+                       packed_w_, output.data(), ws);
   for (index_t s = 0; s < n; ++s)
     for (index_t u = 0; u < units_; ++u) {
       const float* a_u = a + s * uk + u * rank_;
@@ -583,27 +557,12 @@ void FactoredQuadraticDense::forward_into(const ConstTensorView& input,
                  output.dim(1) == units_,
              name_ << ": bad output view " << output.shape());
 
-  const bool pre = packed_w1_.packed();
   float* a = ws.alloc(n * units_);
-  if (pre) {
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w1_, 0.0f, a, units_);
-  } else {
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w1_.value.data(), in_, 0.0f, a, units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-  }
+  linalg::gemm_weights(n, units_, in_, input.data(), w1_.value.data(),
+                       packed_w1_, a, ws);
   float* b = ws.alloc(n * units_);
-  if (pre) {
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w2_, 0.0f, b, units_);
-  } else {
-    linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w2_.value.data(), in_, 0.0f, b, units_,
-                 ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                      units_, in_)));
-  }
+  linalg::gemm_weights(n, units_, in_, input.data(), w2_.value.data(),
+                       packed_w2_, b, ws);
   if (has_inner_bias()) {
     for (index_t s = 0; s < n; ++s)
       for (index_t u = 0; u < units_; ++u) {
@@ -621,15 +580,8 @@ void FactoredQuadraticDense::forward_into(const ConstTensorView& input,
         x2[i] = input.data()[i] * input.data()[i];
       w3_in = x2;
     }
-    if (pre) {
-      linalg::gemm_prepacked(false, n, units_, in_, 1.0f, w3_in, in_,
-                             packed_w3_, 0.0f, output.data(), units_);
-    } else {
-      linalg::gemm(false, true, n, units_, in_, 1.0f, w3_in, in_,
-                   w3_.value.data(), in_, 0.0f, output.data(), units_,
-                   ws.alloc(linalg::gemm_scratch_floats(false, true, n,
-                                                        units_, in_)));
-    }
+    linalg::gemm_weights(n, units_, in_, w3_in, w3_.value.data(),
+                         packed_w3_, output.data(), ws);
   } else {
     output.zero();
   }

@@ -85,12 +85,16 @@ DecodeSession::DecodeSession(models::Transformer& model,
                                                  << " != tgt_vocab "
                                                  << vocab_);
 
-  // Bind step: prepack the decode-side weights and drop training caches
-  // before warm-up, so the watermark never includes packing scratch.
+  // Bind step: prepack the decoder AND the encoder that prime_compute
+  // runs (src embedding, scale+positional, every encoder layer) and drop
+  // training caches before warm-up, so neither the step watermark nor a
+  // staging slot's includes packing scratch and prefill runs
+  // gemm_prepacked end to end.
   if (config_.freeze) {
     model_->tgt_embedding().freeze();
     for (index_t l = 0; l < layers; ++l) model_->decoder_layer(l).freeze();
     model_->output_projection().freeze();
+    encoder_.freeze();
   }
 
   // Paged KV memory: one pool of uniform pages backs both attention

@@ -5,7 +5,8 @@
 //   * SIMD vs generic under tolerance (FMA reassociation is the only
 //     permitted difference);
 //   * prepacked vs unpacked bit-exact *within* each backend, including
-//     zero-padded tail panels;
+//     zero-padded tail panels, over every trans flag combination with
+//     the per-call panel pack in exactly gemm_scratch_floats of scratch;
 //   * the row-sharded threaded path bit-exact vs inline, engaged and
 //     suppressed (GemmSerialScope) on cue;
 //   * dot/axpy backend variants, and the heap-pack counter.
@@ -104,16 +105,21 @@ TEST_F(GemmBackendTest, BackendQueriesAreConsistent) {
   EXPECT_STREQ(gemm_backend_name(GemmBackend::kNeon), "neon");
   EXPECT_TRUE(gemm_backend_compiled(GemmBackend::kGeneric));
   EXPECT_TRUE(gemm_backend_supported(GemmBackend::kGeneric));
-  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon})
-    if (gemm_backend_supported(be)) EXPECT_TRUE(gemm_backend_compiled(be));
+  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon}) {
+    if (gemm_backend_supported(be)) {
+      EXPECT_TRUE(gemm_backend_compiled(be));
+    }
+  }
   // The resolved default must itself be supported.
   EXPECT_TRUE(gemm_backend_supported(active_gemm_backend()));
 }
 
 TEST_F(GemmBackendTest, SetUnsupportedBackendThrows) {
-  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon})
-    if (!gemm_backend_supported(be))
+  for (GemmBackend be : {GemmBackend::kAvx2, GemmBackend::kNeon}) {
+    if (!gemm_backend_supported(be)) {
       EXPECT_THROW(set_gemm_backend(be), std::runtime_error);
+    }
+  }
 }
 
 TEST_F(GemmBackendTest, AllBackendsMatchReferenceAcrossShapesAndFlags) {
@@ -164,16 +170,18 @@ TEST_F(GemmBackendTest, SimdMatchesGenericUnderTolerance) {
     std::vector<float> b(static_cast<std::size_t>(s.k * s.n));
     fill(a, seed++);
     fill(b, seed++);
+    std::vector<float> scratch(static_cast<std::size_t>(
+        gemm_scratch_floats(false, false, s.m, s.n, s.k)));
     set_gemm_backend(GemmBackend::kGeneric);
     std::vector<float> want(static_cast<std::size_t>(s.m * s.n), 0.0f);
     gemm(false, false, s.m, s.n, s.k, 1.0f, a.data(), s.k, b.data(), s.n,
-         0.0f, want.data(), s.n, nullptr);
+         0.0f, want.data(), s.n, scratch.data());
     for (GemmBackend be : supported_backends()) {
       if (be == GemmBackend::kGeneric) continue;
       set_gemm_backend(be);
       std::vector<float> got(static_cast<std::size_t>(s.m * s.n), 0.0f);
       gemm(false, false, s.m, s.n, s.k, 1.0f, a.data(), s.k, b.data(), s.n,
-           0.0f, got.data(), s.n, nullptr);
+           0.0f, got.data(), s.n, scratch.data());
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_NEAR(got[i], want[i], 1e-4f * (1.0f + std::fabs(want[i])))
             << gemm_backend_name(be) << " m=" << s.m << " n=" << s.n
@@ -218,7 +226,58 @@ TEST_F(GemmBackendTest, PrepackedBitIdenticalToUnpackedPerBackend) {
   }
 }
 
-TEST_F(GemmBackendTest, PackLayoutFollowsBackend) {
+// gemm(scratch) packs op(B) into the same tile panels per call that
+// PackedWeights makes at freeze, so the two must agree bit for bit under
+// every (trans_a, trans_b) pair: ragged row tiles (m 1/5/6/7), full,
+// one-column and fifteen-column tail panels (n mod 16 = 0/1/15), and k
+// from a single step to one past 256.  Scratch is exactly
+// gemm_scratch_floats, so a sanitizer build flags any overrun of the
+// per-call panel pack.
+TEST_F(GemmBackendTest, UnpackedBitIdenticalToPrepackedAllTransFlags) {
+  std::uint32_t seed = 300;
+  for (GemmBackend be : supported_backends()) {
+    set_gemm_backend(be);
+    for (index_t m : {1, 5, 6, 7}) {
+      for (index_t n : {16, 33, 47}) {
+        for (index_t k : {1, 257}) {
+          for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+              const index_t lda = ta ? m : k;
+              const index_t ldb = tb ? k : n;
+              std::vector<float> a(
+                  static_cast<std::size_t>((ta ? k : m) * lda));
+              std::vector<float> b(
+                  static_cast<std::size_t>((tb ? n : k) * ldb));
+              fill(a, seed++);
+              fill(b, seed++);
+              std::vector<float> c_plain(static_cast<std::size_t>(m * n));
+              fill(c_plain, seed++);
+              std::vector<float> c_packed = c_plain;
+              std::vector<float> scratch(static_cast<std::size_t>(
+                  gemm_scratch_floats(ta, tb, m, n, k)));
+              gemm(ta, tb, m, n, k, 0.75f, a.data(), lda, b.data(), ldb,
+                   0.5f, c_plain.data(), n, scratch.data());
+              PackedWeights pw;
+              pw.pack(tb, k, n, b.data(), ldb);
+              std::vector<float> a_scratch(
+                  static_cast<std::size_t>(ta ? m * k : 0));
+              gemm_prepacked(ta, m, n, k, 0.75f, a.data(), lda, pw, 0.5f,
+                             c_packed.data(), n,
+                             ta ? a_scratch.data() : nullptr);
+              for (std::size_t i = 0; i < c_plain.size(); ++i)
+                ASSERT_EQ(c_plain[i], c_packed[i])
+                    << gemm_backend_name(be) << " m=" << m << " n=" << n
+                    << " k=" << k << " ta=" << ta << " tb=" << tb
+                    << " i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GemmBackendTest, PackIsTilePanelUnderEveryBackend) {
   std::vector<float> b(static_cast<std::size_t>(7 * 20));
   fill(b, 9);
   for (GemmBackend be : supported_backends()) {
@@ -226,16 +285,16 @@ TEST_F(GemmBackendTest, PackLayoutFollowsBackend) {
     PackedWeights pw;
     pw.pack(false, 7, 20, b.data(), 20);
     EXPECT_EQ(pw.backend(), be);
-    if (be == GemmBackend::kGeneric) {
-      EXPECT_EQ(pw.layout(), PackLayout::kRowMajor);
-      EXPECT_EQ(pw.size_floats(), 7 * 20);
-    } else {
-      EXPECT_EQ(pw.layout(), PackLayout::kTilePanel);
-      // ceil(20/16) = 2 zero-padded panels of 7*16 floats.
-      EXPECT_EQ(pw.size_floats(), 2 * 7 * 16);
+    // ceil(20/16) = 2 panels of 7*16 floats, the tail zero-padded.
+    ASSERT_EQ(pw.size_floats(), 2 * 7 * 16);
+    EXPECT_EQ(pw.size_floats(), gemm_scratch_floats(false, false, 1, 20, 7));
+    for (index_t p = 0; p < 7; ++p) {
+      for (index_t j = 0; j < 20; ++j)
+        EXPECT_EQ(pw.data()[(j / 16) * 7 * 16 + p * 16 + j % 16],
+                  b[static_cast<std::size_t>(p * 20 + j)]);
+      for (index_t j = 20; j < 32; ++j)
+        EXPECT_EQ(pw.data()[7 * 16 + p * 16 + j % 16], 0.0f);
     }
-    // Either layout starts with op(B)(0, 0).
-    EXPECT_EQ(pw.data()[0], b[0]);
   }
 }
 
@@ -271,18 +330,20 @@ TEST_F(GemmBackendTest, ThreadedBitIdenticalToInlineAndEngages) {
   std::vector<float> b(static_cast<std::size_t>(k * n));
   fill(a, 55);
   fill(b, 56);
+  std::vector<float> scratch(
+      static_cast<std::size_t>(gemm_scratch_floats(false, false, m, n, k)));
   for (GemmBackend be : supported_backends()) {
     set_gemm_backend(be);
     set_gemm_threads(1);
     std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
     gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-         want.data(), n, nullptr);
+         want.data(), n, scratch.data());
     set_gemm_threads(3);
     set_gemm_thread_min_work(1);  // force the pool for this shape
     const long long before = gemm_threaded_dispatches();
     std::vector<float> got(static_cast<std::size_t>(m * n), 0.0f);
     gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-         got.data(), n, nullptr);
+         got.data(), n, scratch.data());
     EXPECT_GT(gemm_threaded_dispatches(), before)
         << gemm_backend_name(be);
     for (std::size_t i = 0; i < got.size(); ++i)
@@ -297,12 +358,14 @@ TEST_F(GemmBackendTest, ThresholdAndSerialScopeSuppressThreading) {
   std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
   fill(a, 71);
   fill(b, 72);
+  std::vector<float> scratch(
+      static_cast<std::size_t>(gemm_scratch_floats(false, false, m, n, k)));
   set_gemm_threads(2);
   // Below the threshold: inline.
   set_gemm_thread_min_work(1LL << 40);
   long long before = gemm_threaded_dispatches();
   gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-       c.data(), n, nullptr);
+       c.data(), n, scratch.data());
   EXPECT_EQ(gemm_threaded_dispatches(), before);
   // Above the threshold but inside a GemmSerialScope: still inline.
   set_gemm_thread_min_work(1);
@@ -310,13 +373,13 @@ TEST_F(GemmBackendTest, ThresholdAndSerialScopeSuppressThreading) {
     GemmSerialScope serial;
     before = gemm_threaded_dispatches();
     gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-         c.data(), n, nullptr);
+         c.data(), n, scratch.data());
     EXPECT_EQ(gemm_threaded_dispatches(), before);
   }
   // Scope gone: engages again.
   before = gemm_threaded_dispatches();
   gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-       c.data(), n, nullptr);
+       c.data(), n, scratch.data());
   EXPECT_GT(gemm_threaded_dispatches(), before);
 }
 
@@ -354,9 +417,11 @@ TEST_F(GemmBackendTest, HeapPackCounterCountsAllocatingOverloadOnly) {
   std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
   fill(a, 90);
   fill(b, 91);
+  std::vector<float> scratch(
+      static_cast<std::size_t>(gemm_scratch_floats(false, false, m, n, k)));
   long long before = gemm_heap_pack_calls();
   gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-       c.data(), n, nullptr);  // scratch overload: not counted
+       c.data(), n, scratch.data());  // scratch overload: not counted
   EXPECT_EQ(gemm_heap_pack_calls(), before);
   gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
        c.data(), n);  // allocating overload: counted

@@ -183,11 +183,15 @@ TEST(Gemm, ScratchOverloadMatchesAllocatingPath) {
   EXPECT_EQ(max_abs_diff(c1, c2), 0.0f);  // bit-identical by construction
 }
 
+// op(B) is packed into whole 16-column panels for either trans_b (n = 8
+// rounds up to one panel of 16 × k), plus m × k for the Aᵀ pack.
 TEST(Gemm, ScratchFloatsAccounting) {
-  EXPECT_EQ(gemm_scratch_floats(false, false, 7, 8, 9), 0);
-  EXPECT_EQ(gemm_scratch_floats(true, false, 7, 8, 9), 63);
-  EXPECT_EQ(gemm_scratch_floats(false, true, 7, 8, 9), 72);
-  EXPECT_EQ(gemm_scratch_floats(true, true, 7, 8, 9), 135);
+  EXPECT_EQ(gemm_scratch_floats(false, false, 7, 8, 9), 144);
+  EXPECT_EQ(gemm_scratch_floats(true, false, 7, 8, 9), 63 + 144);
+  EXPECT_EQ(gemm_scratch_floats(false, true, 7, 8, 9), 144);
+  EXPECT_EQ(gemm_scratch_floats(true, true, 7, 8, 9), 63 + 144);
+  EXPECT_EQ(gemm_scratch_floats(false, true, 7, 33, 9), 3 * 16 * 9);
+  EXPECT_EQ(gemm_scratch_floats(false, false, 7, 0, 9), 0);
 }
 
 TEST(Gemv, MatchesMatmul) {

@@ -4,7 +4,7 @@
 // source lengths, early-eos rows, frozen/unfrozen serving, and both
 // projection families — plus the session lifecycle contracts (bind
 // exclusivity, re-prime reuse, max_steps/max_len boundary, freeze
-// propagation audit for the decoder stack).
+// propagation audit for the decoder and encoder stacks).
 #include "runtime/decode_session.h"
 
 #include <gtest/gtest.h>
@@ -290,6 +290,78 @@ TEST(DecodeSession, FreezePropagatesThroughDecodeSideModules) {
   EXPECT_FALSE(model.tgt_embedding().frozen());
   for (index_t l = 0; l < model.num_decoder_layers(); ++l)
     EXPECT_FALSE(model.decoder_layer(l).frozen()) << "layer " << l;
+}
+
+void expect_encoder_frozen(Transformer& model, bool frozen) {
+  EXPECT_EQ(model.src_embedding().frozen(), frozen);
+  for (index_t l = 0; l < model.num_encoder_layers(); ++l)
+    EXPECT_EQ(model.encoder_layer(l).frozen(), frozen) << "layer " << l;
+}
+
+TEST(DecodeSession, BindFreezesTheEncoderAndShrinksStagingScratch) {
+  Transformer model(tiny_config());
+  model.set_training(false);
+
+  // Baseline: the decode side frozen by hand, the encoder left unfrozen,
+  // so a staging slot's watermark still carries the encoder's per-call
+  // weight packs.
+  index_t unfrozen_encoder_watermark = 0;
+  {
+    model.tgt_embedding().freeze();
+    for (index_t l = 0; l < model.num_decoder_layers(); ++l)
+      model.decoder_layer(l).freeze();
+    model.output_projection().freeze();
+    DecodeSession session(model, session_config(1, 8, /*freeze=*/false));
+    expect_encoder_frozen(model, false);
+    runtime::PrefillStaging slot;
+    session.init_staging(slot);
+    unfrozen_encoder_watermark = slot.ws.watermark();
+  }
+  model.unfreeze();
+
+  DecodeSession session(model, session_config(1, 8));
+  expect_encoder_frozen(model, true);
+  runtime::PrefillStaging slot;
+  session.init_staging(slot);
+  EXPECT_LT(slot.ws.watermark(), unfrozen_encoder_watermark);
+}
+
+TEST(DecodeSession, GreedyDecodeLeavesTheEncoderUnfrozen) {
+  Transformer model(tiny_config());
+  const Tensor src = random_src(2, 5, 20, 41);
+  const auto out = model.greedy_decode(src, {}, 1, 2, 8);
+  const auto ref = model.greedy_decode_reference(src, {}, 1, 2, 8);
+  EXPECT_EQ(out, ref);
+  expect_encoder_frozen(model, false);
+  EXPECT_FALSE(model.tgt_embedding().frozen());
+  for (index_t l = 0; l < model.num_decoder_layers(); ++l)
+    EXPECT_FALSE(model.decoder_layer(l).frozen()) << "layer " << l;
+}
+
+// Frozen-encoder prefill at widths that span several 16-wide panels and
+// end in a ragged tail panel (d_model 80 = 5 panels, d_ff 200 = 12.5,
+// tgt_vocab 24 = 1.5): decode must still match the O(T²) oracle bit for
+// bit, for both projection families, on a ragged source batch.
+TEST(DecodeSession, FrozenEncoderMatchesReferenceAtMultiPanelWidths) {
+  for (const quadratic::NeuronSpec& spec :
+       {quadratic::NeuronSpec::linear(), quadratic::NeuronSpec::proposed(3)}) {
+    TransformerConfig config = tiny_config(spec);
+    config.d_model = 80;
+    config.proj_dim = 80;
+    config.d_ff = 200;
+    Transformer model(config);
+    model.set_training(false);
+    Tensor src = random_src(3, 9, 20, 97);
+    const std::vector<index_t> lens{9, 4, 7};
+    const auto ref = model.greedy_decode_reference(src, lens, 1, 2, 12);
+    DecodeSession session(model, session_config(3, 12));
+    expect_encoder_frozen(model, true);
+    session.prime(src, lens);
+    const auto out = session.generate(1, 2);
+    ASSERT_EQ(out.size(), ref.size());
+    for (std::size_t r = 0; r < ref.size(); ++r)
+      EXPECT_EQ(out[r], ref[r]) << spec.kind_name() << " row " << r;
+  }
 }
 
 TEST(DecodeSession, UnfreezeRefreezeTracksWeightUpdates) {

@@ -158,6 +158,35 @@ TEST(Transformer, ParameterCountDropsWithReducedProjDim) {
   EXPECT_LT(quadratic_model.num_parameters(), baseline.num_parameters());
 }
 
+// The paper's k = 9 at d_model 512: the output projection wo would need
+// 512 outputs from neurons emitting 10 values each.  Construction fails
+// up front and names the config field, not a layer deep inside.
+TEST(Transformer, ValidatesProposedWidthRuleByField) {
+  auto message_of = [](const TransformerConfig& config) -> std::string {
+    try {
+      Transformer model(config);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  TransformerConfig config = tiny_config(quadratic::NeuronSpec::proposed(9));
+  config.d_model = 512;
+  config.proj_dim = 400;
+  EXPECT_NE(message_of(config).find("TransformerConfig.d_model 512 is not a "
+                                    "multiple of spec.rank+1 = 10"),
+            std::string::npos)
+      << message_of(config);
+  config.d_model = 80;
+  config.proj_dim = 64;
+  EXPECT_NE(message_of(config).find("TransformerConfig.proj_dim 64 is not a "
+                                    "multiple of spec.rank+1 = 10"),
+            std::string::npos)
+      << message_of(config);
+  config.proj_dim = 80;
+  EXPECT_EQ(message_of(config), "");
+}
+
 TEST(Transformer, RejectsIndivisibleProjDim) {
   TransformerConfig config = tiny_config();
   config.proj_dim = 15;  // not divisible by 2 heads

@@ -317,7 +317,8 @@ TEST(Cancel, StormFuzzEveryIdResolvesExactlyOnce) {
     while (next < kCount || !scheduler.idle()) {
       while (next < kCount && rng.uniform_int(3) != 0) {
         Request req;
-        req.src_ids = cases[static_cast<std::size_t>(next)].src;
+        // Copy-construct, then move (see scheduler_test.cpp drive()).
+        req.src_ids = Tensor(cases[static_cast<std::size_t>(next)].src);
         req.max_new_tokens = max_steps;
         req.priority = static_cast<Priority>(rng.uniform_int(3));
         if (rng.uniform_int(4) == 0)

@@ -81,7 +81,9 @@ std::map<index_t, RequestResult> drive(
       const index_t idx = order[next];
       const TestRequest& r = requests[static_cast<std::size_t>(idx)];
       Request req;
-      req.src_ids = r.src;
+      // Copy-construct, then move: GCC 12 flags a copy-assign into the
+      // empty default Tensor with a spurious -Wnonnull.
+      req.src_ids = Tensor(r.src);
       req.src_length = r.src_length;
       req.max_new_tokens = r.budget;
       req.sampling = r.sampling;
@@ -667,7 +669,9 @@ TEST(BatchScheduler, StreamingCallbacksMatchTheResultExactly) {
     EXPECT_EQ(events[i].id, id);
     EXPECT_EQ(events[i].token, r.tokens[i]) << "stream diverged at " << i;
     EXPECT_EQ(events[i].index, static_cast<index_t>(i));
-    if (i > 0) EXPECT_GT(events[i].tick, events[i - 1].tick);
+    if (i > 0) {
+      EXPECT_GT(events[i].tick, events[i - 1].tick);
+    }
   }
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().tick, r.first_token_tick)

@@ -234,8 +234,9 @@ TEST(Server, StreamsTokensFromTheShardWorker) {
   EXPECT_EQ(results[0].id, id);
   EXPECT_EQ(streamed, results[0].tokens);
   EXPECT_EQ(streamed, cases[0].reference);
-  if (!results[0].tokens.empty())
+  if (!results[0].tokens.empty()) {
     EXPECT_GT(results[0].first_token_tick, results[0].submit_tick);
+  }
 }
 
 TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
